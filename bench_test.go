@@ -131,6 +131,39 @@ func BenchmarkStatsInto(b *testing.B) {
 	}
 }
 
+// BenchmarkSubmitFreshKeys measures the submit path on a stream of keys
+// the tracker has not seen recently: one InOut task per key, rotating over
+// a pre-boxed pool of struct keys (the shape of a service's per-job keys)
+// far larger than the tracker's per-shard sweep floor, so entries are
+// inserted, retired by the sweep, and inserted again. The keys are boxed
+// up front, so only what the runtime allocates is counted; CI's
+// alloc-budget gate holds it at zero allocs/op.
+func BenchmarkSubmitFreshKeys(b *testing.B) {
+	type jobKey struct {
+		job  uint64
+		name string
+	}
+	const pool = 1 << 16
+	deps := make([][]runtime.Dep, pool)
+	for i := range deps {
+		deps[i] = []runtime.Dep{runtime.InOut(jobKey{uint64(i), "k"})}
+	}
+	rt := runtime.New(runtime.WithWorkers(4), runtime.WithShards(4), runtime.WithQueueBound(1024))
+	defer rt.Shutdown()
+	noop := func() {}
+	// Two laps warm the freelist, the shard maps and their spare lists.
+	for i := 0; i < 2*pool; i++ {
+		rt.Submit("t", 1, noop, deps[i%pool]...)
+	}
+	rt.Wait()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.Submit("t", 1, noop, deps[i%pool]...)
+	}
+	rt.Wait()
+}
+
 // BenchmarkLocalityChain measures worker-local successor placement on the
 // producer→consumer cache-affinity workload (see benchcases.LocalityChain)
 // with the locality window on (default) vs off (injector baseline).

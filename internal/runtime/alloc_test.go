@@ -49,8 +49,7 @@ func TestSubmitPathAllocationFree(t *testing.T) {
 			// 4-dep mixed shape — all within the inline arity.
 			chain := []Dep{InOut("chain")}
 			read := []Dep{In("chain")}
-			// All-writer keys so per-key tracker state stays bounded (a
-			// reader set with no writer would grow its tail forever).
+			// All-writer keys so every entry's reader list stays short.
 			mixed := []Dep{InOut("chain"), InOut("a"), InOut("b"), Out("c")}
 			submitAll := func() {
 				for i := 0; i < 8; i++ {

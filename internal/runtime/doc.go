@@ -77,14 +77,23 @@
 //
 // # Memory lifecycle and trace retention
 //
-// By default the runtime's memory stays bounded by the work in flight plus
-// the set of distinct dependence keys used: completed tasks drop their
-// body, context, and dependence log, and queue slots release popped
-// pointers, so a runtime can serve submissions indefinitely (per-key
-// tracker state — lastWriter and the reader lists — persists per distinct
-// key; reuse keys rather than minting fresh ones forever). Building with
-// WithTraceRetention keeps the full task trace instead, which Graph needs
-// for export; without it Graph fails with ErrNoTrace.
+// By default the runtime's memory stays bounded by the work in flight:
+// completed tasks drop their body, context, and dependence log, queue
+// slots release popped pointers, and the dependence tracker retires the
+// entry of every key whose tasks have all finished, so a runtime can
+// serve submissions indefinitely, even one that mints fresh keys for
+// every request. Retirement is lazy: a tracker shard sweeps its dead
+// entries only once its key count has doubled since the last sweep, and
+// never below a floor of about a thousand keys, so a stable key space
+// pays nothing. Stats.TrackedKeys reports the live entry count: at most
+// twice the keys referenced by unfinished tasks, plus the floor per
+// shard. After a burst of live keys the tracker map's bucket array and
+// its spare-entry list's backing array stay at their peak size.
+//
+// Building with WithTraceRetention keeps the full task trace instead,
+// which Graph needs for export; without it Graph fails with ErrNoTrace.
+// Retained records are never recycled, so under it no tracker entry
+// retires either.
 //
 // Beyond bounded, the steady-state lifecycle is allocation-free: task
 // records recycle through a per-runtime freelist (made safe by

@@ -122,32 +122,39 @@ func TestCompleteReleasesTaskReferences(t *testing.T) {
 	}
 }
 
-// A writer truncating readersTail must nil the slots: tail[:0] alone keeps
-// the old reader tasks reachable through the backing array.
+// A writer truncating a key's reader list must nil the slots: readers[:0]
+// alone keeps the old reader tasks reachable through the backing array.
+// The readers block until the writer has registered, so none retires early
+// and the list really reaches its full width before the truncation.
 func TestReadersTailSlotsClearedOnWriterTruncate(t *testing.T) {
 	r := New(WithWorkers(2), WithShards(1))
 	defer r.Shutdown()
 	const readers = 6
+	release := make(chan struct{})
 	for i := 0; i < readers; i++ {
-		r.Submit("r", 1, func() {}, In("k"))
+		r.Submit("r", 1, func() { <-release }, In("k"))
 	}
-	r.Submit("w", 1, func() {}, Out("k"))
-	r.Wait()
 	s := r.shards[0]
 	s.mu.Lock()
+	width := cap(s.keys["k"].readers)
+	s.mu.Unlock()
+	r.Submit("w", 1, func() {}, Out("k"))
+	close(release)
+	r.Wait()
+	s.mu.Lock()
 	defer s.mu.Unlock()
-	tail := s.readersTail["k"]
-	if len(tail) != 0 {
-		t.Fatalf("readersTail length %d after writer, want 0", len(tail))
+	ks := s.keys["k"]
+	if len(ks.readers) != 0 {
+		t.Fatalf("reader list length %d after writer, want 0", len(ks.readers))
 	}
-	full := tail[:cap(tail)]
-	for i, tk := range full {
+	for i, tk := range ks.readers[:cap(ks.readers)] {
 		if tk.t != nil {
-			t.Fatalf("readersTail backing slot %d still pins reader task %d", i, tk.t.id)
+			t.Fatalf("reader backing slot %d still pins reader task %d", i, tk.t.id)
 		}
 	}
-	if cap(tail) < readers {
-		t.Fatalf("test did not exercise the backing array (cap %d < %d readers)", cap(tail), readers)
+	if width < readers || cap(ks.readers) < readers {
+		t.Fatalf("test did not exercise the backing array (cap %d before, %d after, %d readers)",
+			width, cap(ks.readers), readers)
 	}
 }
 

@@ -155,7 +155,7 @@ const inlineArity = 4
 // runtime's freelist and a later submission reuses it, so the steady-state
 // task lifecycle performs no heap allocation. Reuse is made safe by the
 // claim word (see below): every reference that can outlive the task — the
-// tracker's lastWriter/readersTail entries and the CATS heap's lazy stale
+// tracker's key entries and the CATS heap's lazy stale
 // entries — carries the generation it was created under and is ignored
 // once the generations diverge.
 type task struct {
@@ -229,6 +229,11 @@ type task struct {
 	ndeps   int32
 	depsInl [inlineArity]Dep
 	depsOvf []Dep
+	// Each dependence's tracker shard, parallel to the deps: filled by
+	// shardPlan and read by trackDeps, so a key is hashed once per
+	// registration. Same inline-then-spill scheme.
+	shardsInl [inlineArity]uint8
+	shardsOvf []uint8
 
 	// logShard is the shard whose task log records t (retention only).
 	logShard int32
@@ -263,6 +268,14 @@ type taskRef struct {
 	claim uint64
 }
 
+// live reports whether the referent has not been retired since the
+// reference was created. Generations only grow, so a false answer is
+// final; a true one may go stale the moment it is returned, which is why
+// linkPreds repeats the check under the referent's mutex.
+func (ref taskRef) live() bool {
+	return claimGen(atomic.LoadUint64(&ref.t.claim)) == claimGen(ref.claim)
+}
+
 // gen extracts the generation from a claim word.
 func claimGen(claim uint64) uint64 { return claim >> 1 }
 
@@ -290,6 +303,19 @@ func (t *task) deps() []Dep {
 		return t.depsInl[:t.ndeps]
 	}
 	return t.depsOvf
+}
+
+// depShards returns the per-dependence shard slots, one per declared
+// dependence, spilling to (and reusing) the overflow past inlineArity.
+func (t *task) depShards() []uint8 {
+	n := int(t.ndeps)
+	if n <= inlineArity {
+		return t.shardsInl[:n]
+	}
+	if cap(t.shardsOvf) < n {
+		t.shardsOvf = make([]uint8, n)
+	}
+	return t.shardsOvf[:n]
 }
 
 // clearDeps drops the dependence annotations (and the interface keys they
@@ -373,6 +399,12 @@ type Stats struct {
 	// Topology() order: local vs cross-domain dispatches, steals, and
 	// injector traffic (see DomainStats).
 	PerDomain []DomainStats
+	// TrackedKeys is the number of dependence keys the tracker holds an
+	// entry for, over all shards. Entries whose tasks have all retired
+	// are swept, so this stays bounded by the keys of the work in flight
+	// (plus a per-shard floor) rather than growing with every key ever
+	// used — except under WithTraceRetention, which retires nothing.
+	TrackedKeys uint64
 	// FlightEvents is the total number of events the flight recorder has
 	// captured (0 without WithFlightRecorder).
 	FlightEvents uint64
@@ -854,39 +886,41 @@ func (r *Runtime) trackDeps(t *task) []taskRef {
 			return
 		}
 		for _, q := range preds {
-			if q.t == p.t {
+			// Same record is not enough: a pooled record may appear
+			// once as a retired task and again as a live one, and
+			// dropping the live reference would lose its edge.
+			if q.t == p.t && claimGen(q.claim) == claimGen(p.claim) {
 				return
 			}
 		}
 		preds = append(preds, p)
 	}
 	self := t.ref()
-	for _, d := range t.deps() {
-		s := r.shards[r.shardIndex(d.Key)]
+	deps := t.deps()
+	shards := t.depShards()
+	for i, d := range deps {
+		ks := r.shards[shards[i]].entry(d.Key)
 		switch d.Mode {
 		case ModeIn:
-			addPred(s.lastWriter[d.Key])
-			s.readersTail[d.Key] = append(s.readersTail[d.Key], self)
+			addPred(ks.writer)
+			ks.addReader(self)
 		case ModeOut, ModeInOut:
 			if d.Mode == ModeInOut {
-				addPred(s.lastWriter[d.Key])
+				addPred(ks.writer)
 			}
 			// WAR: wait for every reader since the previous writer.
-			tail := s.readersTail[d.Key]
-			for _, rd := range tail {
+			for _, rd := range ks.readers {
 				addPred(rd)
 			}
 			// WAW: wait for the previous writer even for plain Out, since
 			// we do not rename storage.
-			addPred(s.lastWriter[d.Key])
-			s.lastWriter[d.Key] = self
-			// Zero the slots before truncating: tail[:0] alone keeps every
-			// old reader task reachable through the backing array until the
-			// next writer happens to overwrite each slot.
-			for i := range tail {
-				tail[i] = taskRef{}
-			}
-			s.readersTail[d.Key] = tail[:0]
+			addPred(ks.writer)
+			ks.writer = self
+			// Zero the slots before truncating: readers[:0] alone keeps
+			// every old reader task reachable through the backing array
+			// until later readers happen to overwrite each slot.
+			clear(ks.readers)
+			ks.readers = ks.readers[:0]
 		}
 	}
 	if r.opts.retainTrace {
@@ -1369,7 +1403,7 @@ func (r *Runtime) callOnDone(hook func(error), taskErr error, name string) {
 // retention it goes further and retires the whole record into the
 // runtime's freelist: the generation bump in the claim word (performed
 // inside this critical section) atomically invalidates every reference
-// that may still point here — tracker lastWriter/readersTail entries and
+// that may still point here — tracker key entries and
 // stale CATS heap entries — so the record can be reused by the next
 // submission without those holders ever observing the new task's state.
 //
@@ -1427,6 +1461,11 @@ func (r *Runtime) complete(t *task, workerID int, sc *completionScratch, poison 
 	// wide fan (the steal-heavy shape) hands the whole fan over with a
 	// single wakeup instead of one signal per child.
 	ready := sc.ready[:0]
+	// firstID is the first released successor's ID, read inside its ready
+	// critical section: once readyClaim is stored, a CATS priority bump
+	// can dispatch, complete and recycle that record before this worker
+	// pushes it, so its fields may not be read afterwards.
+	var firstID uint64
 	completeRecorded := r.rec == nil
 	if !completeRecorded && faultPack != 0 {
 		// A terminal fault rides one paired ring write with its completion
@@ -1475,6 +1514,9 @@ func (r *Runtime) complete(t *task, workerID int, sc *completionScratch, poison 
 					r.rec.RecordWorker(workerID, flightrec.KindReady, uint64(s.id), rc, 0)
 				}
 			}
+			if len(ready) == 0 {
+				firstID = uint64(s.id)
+			}
 			atomic.StoreUint64(&s.readyClaim, rc)
 			s.mu.Unlock()
 			ready = append(ready, s)
@@ -1491,14 +1533,13 @@ func (r *Runtime) complete(t *task, workerID int, sc *completionScratch, poison 
 		// this goroutine pops it next, and signalling a parked thief here
 		// would only invite it to steal the link off the warm cache.
 		s := ready[0]
-		ownedID := uint64(s.id) // before the push: pushing publishes s
 		if sc.owned == nil || !sc.owned.pushOwned(s, workerID) {
 			r.sched.push(s, workerID)
 		} else if r.rec != nil && !r.schedSelfRecords {
 			// Arm the dispatch-event elision: if our next pop returns this
 			// very task life, its dispatch record is redundant.
 			sc.lastOwned = s
-			sc.lastOwnedID = ownedID
+			sc.lastOwnedID = firstID
 		}
 	default:
 		r.sched.pushBatch(ready, workerID)
@@ -1632,6 +1673,10 @@ func (r *Runtime) StatsInto(s *Stats) {
 	s.Retries = r.sig.retries.Load()
 	s.DeadlineMisses = r.sig.deadlineMiss.Load()
 	s.Quarantined = r.sig.quarantined.Load()
+	s.TrackedKeys = 0
+	for _, sh := range r.shards {
+		s.TrackedKeys += uint64(sh.tracked.Load())
+	}
 	s.FlightEvents = 0
 	if r.rec != nil {
 		s.FlightEvents = r.rec.EventCount()

@@ -1,17 +1,79 @@
 package runtime
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
+	"reflect"
 	stdruntime "runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // maxShards bounds the dependence-tracker shard count so a shard set fits
 // in one uint64 bitmask (the lock-plan representation used on the submit
 // path).
 const maxShards = 64
+
+// keyFloor is the per-shard key count below which the tracker never
+// sweeps for dead entries: a stable key space (a tiled kernel's tiles)
+// stays under it and pays nothing, and past it a sweep runs only once the
+// count has doubled since the last one, so its cost amortises to O(1) per
+// inserted key.
+const keyFloor = 1024
+
+// keyState is the renamer entry for one dependence key: the key's last
+// writer and the readers registered since that writer. Both hold
+// generation-tagged references: with task records pooled, a referenced
+// record may have been recycled for an unrelated task by the time a later
+// registration consults it, and the generation check (linkPreds) filters
+// those dead references out. An entry whose writer and readers are all
+// dead therefore constrains nothing, and the shard sweep retires it.
+//
+// The references are also the per-shard key→domain affinity map: each
+// referenced record carries the worker (and hence domain) that executed
+// it (task.exec), so a registration consulting a key's last writer learns
+// where that key's data is hot — linkPreds turns that into the task's
+// affinity, which CATS weighs against criticality and the steal
+// scheduler's injector placement routes by. No second structure is
+// needed: the renamer state already indexes by key.
+type keyState struct {
+	writer  taskRef
+	readers []taskRef
+}
+
+// dead reports whether every task the entry references has retired, i.e.
+// the entry would add no edge to any later registration.
+func (ks *keyState) dead() bool {
+	if ks.writer.t != nil && ks.writer.live() {
+		return false
+	}
+	for _, rd := range ks.readers {
+		if rd.live() {
+			return false
+		}
+	}
+	return true
+}
+
+// addReader appends a reader reference. When the slice is full it first
+// compacts out retired readers, so a key that is read forever and never
+// written stays bounded by its live readers; if most readers are still
+// live it doubles the capacity instead, which keeps the scan amortised.
+func (ks *keyState) addReader(ref taskRef) {
+	if n := len(ks.readers); n > 0 && n == cap(ks.readers) {
+		live := ks.readers[:0]
+		for _, rd := range ks.readers {
+			if rd.live() {
+				live = append(live, rd)
+			}
+		}
+		clear(ks.readers[len(live):n])
+		if len(live) > n/2 {
+			live = append(make([]taskRef, 0, 2*n), live...)
+		}
+		ks.readers = live
+	}
+	ks.readers = append(ks.readers, ref)
+}
 
 // depShard is one slice of the dependence tracker: the renamer state for
 // every data key that hashes here, plus a slab of the global task log.
@@ -20,19 +82,22 @@ const maxShards = 64
 // registrations that share a key.
 type depShard struct {
 	mu sync.Mutex
-	// lastWriter and readersTail hold generation-tagged references: with
-	// task records pooled, a referenced record may have been recycled for
-	// an unrelated task by the time a later registration consults it, and
-	// the generation check (linkPreds) filters those dead entries out.
-	// These references are also the per-shard key→domain affinity map:
-	// each referenced record carries the worker (and hence domain) that
-	// executed it (task.exec), so a registration consulting a key's last
-	// writer learns where that key's data is hot — linkPreds turns that
-	// into the task's affinity, which CATS weighs against criticality and
-	// the steal scheduler's injector placement routes by. No second
-	// structure is needed: the renamer state already indexes by key.
-	lastWriter  map[any]taskRef
-	readersTail map[any][]taskRef
+	// keys maps each tracked dependence key to its renamer entry: one
+	// hash lookup per dependence, whatever the access mode.
+	keys map[any]*keyState
+	// spare holds swept entries for reuse, so a stream of fresh keys
+	// inserts without allocating.
+	spare []*keyState
+	// unkeyed is the scratch entry entry returns for a key unequal to
+	// itself, which is never inserted.
+	unkeyed keyState
+	// sweepAt is the key count at which the next insert sweeps dead
+	// entries: twice the count the last sweep left, and never below
+	// keyFloor.
+	sweepAt int
+	// tracked mirrors len(keys): written under mu, read atomically by
+	// StatsInto without taking the shard lock.
+	tracked atomic.Int64
 	// tasks is this shard's slab of the task log (tasks whose log shard is
 	// this one). The full log is the sorted-by-seq union over all shards.
 	// Populated only under WithTraceRetention — by default the log stays
@@ -52,12 +117,69 @@ type depShard struct {
 func newShards(n int) []*depShard {
 	shards := make([]*depShard, n)
 	for i := range shards {
-		shards[i] = &depShard{
-			lastWriter:  make(map[any]taskRef),
-			readersTail: make(map[any][]taskRef),
-		}
+		shards[i] = &depShard{keys: make(map[any]*keyState), sweepAt: keyFloor}
 	}
 	return shards
+}
+
+// entry returns key's renamer entry, inserting a fresh one for a key the
+// shard does not track. An insert that finds the key count at the sweep
+// threshold first retires every dead entry. Under WithTraceRetention no
+// record is recycled, so such a sweep finds nothing and only doubles the
+// threshold — amortised O(1) per insert like any other. Caller holds s.mu.
+func (s *depShard) entry(key any) *keyState {
+	if ks, ok := s.keys[key]; ok {
+		return ks
+	}
+	if key != key {
+		// A key unequal to itself (a NaN, or a struct or array holding
+		// one) can never be looked up again, so an entry for it would
+		// constrain nothing and could never be deleted. Hand back the
+		// shard's scratch entry, emptied, instead of inserting.
+		s.unkeyed.writer = taskRef{}
+		clear(s.unkeyed.readers)
+		s.unkeyed.readers = s.unkeyed.readers[:0]
+		return &s.unkeyed
+	}
+	if len(s.keys) >= s.sweepAt {
+		s.sweepDead()
+	}
+	var ks *keyState
+	if n := len(s.spare); n > 0 {
+		ks = s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+	} else {
+		ks = new(keyState)
+	}
+	s.keys[key] = ks
+	s.tracked.Store(int64(len(s.keys)))
+	return ks
+}
+
+// sweepDead deletes every dead entry, moving it (cleared, reader capacity
+// kept) onto the spare list, and sets the next sweep threshold. Deleting
+// changes no ordering: linkPreds would have discarded each of the entry's
+// references on the generation check, and a key seen again starts from an
+// empty entry, which is exactly what those references amounted to. The
+// spare list keeps only as many entries as inserts can take before the
+// next sweep; the rest are left to the collector. Caller holds s.mu.
+func (s *depShard) sweepDead() {
+	for key, ks := range s.keys {
+		if ks.dead() {
+			delete(s.keys, key)
+			ks.writer = taskRef{}
+			clear(ks.readers)
+			ks.readers = ks.readers[:0]
+			s.spare = append(s.spare, ks)
+		}
+	}
+	s.sweepAt = max(2*len(s.keys), keyFloor)
+	if keep := s.sweepAt - len(s.keys); len(s.spare) > keep {
+		clear(s.spare[keep:])
+		s.spare = s.spare[:keep]
+	}
+	s.tracked.Store(int64(len(s.keys)))
 }
 
 // ResolveShards reports the shard count a runtime built with WithShards(n)
@@ -83,51 +205,122 @@ func resolveShards(n int) int {
 
 // shardIndex maps a dependence key to its shard. Equal keys always map to
 // the same shard (the only correctness requirement); distinct keys sharing
-// a shard merely share a lock. Common key types get an inline integer mix;
-// anything else falls back to hashing the printed form, which is stable
-// for any comparable value.
+// a shard merely share a lock.
 func (r *Runtime) shardIndex(key any) int {
 	n := uint64(len(r.shards))
 	if n == 1 {
 		return 0
 	}
-	var h uint64
+	return int(hashKey(key) % n)
+}
+
+// hashKey hashes a dependence key consistently with ==, without
+// allocating: common key types get an inline integer mix, and structs,
+// arrays, pointers and the rest go through hashValue. A key that is not
+// comparable gets some hash; the tracker map rejects it with a panic at
+// registration.
+func hashKey(key any) uint64 {
 	switch k := key.(type) {
 	case string:
-		h = hashString(k)
+		return hashString(k)
 	case int:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case int8:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case int16:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case int32:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case int64:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case uint:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case uint8:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case uint16:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case uint32:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case uint64:
-		h = mix64(k)
+		return mix64(k)
 	case uintptr:
-		h = mix64(uint64(k))
+		return mix64(uint64(k))
 	case float64:
-		h = mix64(math.Float64bits(k))
+		return mix64(floatBits(k))
 	case float32:
-		h = mix64(uint64(math.Float32bits(k)))
-	default:
-		hh := fnv.New64a()
-		fmt.Fprintf(hh, "%T\x00%v", key, key)
-		h = hh.Sum64()
+		return mix64(floatBits(float64(k)))
 	}
-	return int(h % n)
+	return hashValue(0, reflect.ValueOf(key))
 }
+
+// hashValue folds v into h such that values equal under == fold equally.
+// A kind that is not comparable (func, map, slice) leaves h unchanged.
+func hashValue(h uint64, v reflect.Value) uint64 {
+	switch v.Kind() {
+	case reflect.Invalid: // the nil interface
+		return mixIn(h, 0)
+	case reflect.Bool:
+		if v.Bool() {
+			return mixIn(h, 1)
+		}
+		return mixIn(h, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return mixIn(h, uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return mixIn(h, v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return mixIn(h, floatBits(v.Float()))
+	case reflect.Complex64, reflect.Complex128:
+		c := v.Complex()
+		return mixIn(mixIn(h, floatBits(real(c))), floatBits(imag(c)))
+	case reflect.String:
+		return mixIn(h, hashString(v.String()))
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Chan:
+		return mixIn(h, uint64(v.Pointer()))
+	case reflect.Interface:
+		return hashValue(h, v.Elem())
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			h = hashValue(h, v.Index(i))
+		}
+	case reflect.Struct:
+		for _, i := range structFields(v.Type()) {
+			h = hashValue(h, v.Field(i))
+		}
+	}
+	return h
+}
+
+// fieldPlans caches, per struct type, the indices of the fields struct
+// equality compares: all but the blank (_) ones.
+var fieldPlans sync.Map // reflect.Type → []int
+
+// structFields returns the compared field indices of struct type t.
+func structFields(t reflect.Type) []int {
+	if p, ok := fieldPlans.Load(t); ok {
+		return p.([]int)
+	}
+	var idx []int
+	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Name != "_" {
+			idx = append(idx, i)
+		}
+	}
+	p, _ := fieldPlans.LoadOrStore(t, idx)
+	return p.([]int)
+}
+
+// floatBits is the bit pattern of f with negative zero folded into
+// positive zero: the two compare equal, so they must hash equal.
+func floatBits(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
+// mixIn folds one word into a running hash.
+func mixIn(h, x uint64) uint64 { return mix64(h ^ (x + 0x9e3779b97f4a7c15)) }
 
 // mix64 is the splitmix64 finaliser: a cheap, well-distributed integer
 // hash, so consecutive keys (block indices…) spread across shards.
@@ -169,12 +362,15 @@ func (r *Runtime) shardPlan(t *task) (mask uint64) {
 		t.logShard = int32(uint64(t.seq) % uint64(len(r.shards)))
 		return 1 << t.logShard
 	}
-	logIdx := r.shardIndex(deps[0].Key)
-	t.logShard = int32(logIdx)
-	mask = 1 << logIdx
-	for _, d := range deps[1:] {
-		mask |= 1 << r.shardIndex(d.Key)
+	// Each dependence's shard is worked out once, here, and stored on the
+	// record for trackDeps.
+	shards := t.depShards()
+	for i, d := range deps {
+		idx := r.shardIndex(d.Key)
+		shards[i] = uint8(idx)
+		mask |= 1 << idx
 	}
+	t.logShard = int32(shards[0])
 	return mask
 }
 

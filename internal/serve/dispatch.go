@@ -94,23 +94,29 @@ func (s *Server) launch(j *job) {
 			s.jobFinished(j)
 		}
 	}
-	for i := range j.specs {
+	// The pool takes the specs over: the job drops them so a terminal job
+	// kept in the history pins none of its closures, dependence slices or
+	// keys. Only launch touches j.specs after admission, so no lock is
+	// needed.
+	specs := j.specs
+	j.specs = nil
+	for i := range specs {
 		// The attempts wrapper goes outermost (around any chaos injection),
 		// so JobStatus.Attempts counts every body execution, injected
 		// faults included. Wrapping happens once per task, here, because
 		// the chaos injector's transient/sticky schedule is per-wrapper.
-		body := j.specs[i].Body
+		body := specs[i].Body
 		if s.inj != nil {
 			body = s.inj.Wrap(j.num<<16|uint64(i), body)
 		}
-		j.specs[i].Body = func(ctx context.Context) error {
+		specs[i].Body = func(ctx context.Context) error {
 			j.attempts.Add(1)
 			return body(ctx)
 		}
-		j.specs[i].OnDone = hook
+		specs[i].OnDone = hook
 	}
 	s.marker(j, flightrec.MarkerLaunch)
-	if _, err := s.rt.SubmitBatchCtx(j.ctx, j.specs); err != nil {
+	if _, err := s.rt.SubmitBatchCtx(j.ctx, specs); err != nil {
 		// Nothing was submitted (cancelled before launch, or the pool is
 		// shutting down): finish here — no task will ever account itself.
 		s.mu.Lock()

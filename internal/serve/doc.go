@@ -37,7 +37,9 @@
 // TaskSpec.OnDone hook: every task of a graph accounts itself exactly
 // once (executed or skipped), the last one closing the job. Graph
 // dependence keys are namespaced per job, so tenants cannot construct
-// cross-job hazards in the shared dependence tracker.
+// cross-job hazards in the shared dependence tracker. Launch hands the
+// compiled specs to the pool and the job drops them, so terminal jobs
+// kept for status queries hold only their accounting.
 //
 // # Lifecycle and observability
 //
@@ -48,8 +50,11 @@
 //
 // GET /metrics exposes a Prometheus-text snapshot: the runtime's
 // StatsInto counters (including the adaptive controller's decisions),
-// admission verdicts, per-tenant queue depths, watermark latches, and
-// token usage. With Config.FlightRecorder, the server stamps
+// the raa_pool_tracked_keys gauge (dependence keys the tracker holds —
+// every job mints fresh ones, and the runtime retires them once the job's
+// tasks finish, so the gauge tracks the jobs in flight, not the jobs
+// served), admission verdicts, per-tenant queue depths, watermark
+// latches, and token usage. With Config.FlightRecorder, the server stamps
 // request-scoped timeline markers (admit/launch/done, tagged with the
 // job number and a tenant hash) into the pool's flight recorder, so a
 // merged timeline can be cut along request boundaries.

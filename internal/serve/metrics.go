@@ -29,6 +29,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter(&b, "raa_pool_flight_events_total", "Flight-recorder events captured.", float64(st.FlightEvents))
 	gauge(&b, "raa_pool_backlog", "Submitted tasks not yet finished.", float64(s.rt.Backlog()))
 	gauge(&b, "raa_pool_workers", "Workers in the shared pool.", float64(s.rt.Workers()))
+	gauge(&b, "raa_pool_tracked_keys", "Dependence keys the tracker holds an entry for.", float64(st.TrackedKeys))
 	head(&b, "raa_worker_executed_total", "Tasks executed, by worker.", "counter")
 	for wkr, n := range st.PerWorker {
 		fmt.Fprintf(&b, "raa_worker_executed_total{worker=\"%d\"} %d\n", wkr, n)

@@ -364,6 +364,10 @@ func (s *Server) finishLocked(j *job, state jobState) {
 	}
 	if wasRunning {
 		s.runningJobs--
+	} else {
+		// Finished before launch (cancelled while queued): the specs were
+		// never handed to the pool, so drop them here.
+		j.specs = nil
 	}
 	j.cancel() // release the context's resources
 	close(j.done)

@@ -81,8 +81,10 @@ type job struct {
 	num    uint64 // numeric identity for flight-recorder markers
 	tenant *tenant
 	lane   Lane
-	specs  []runtime.TaskSpec
-	cost   int64
+	// specs is the compiled graph until launch hands it to the pool (or
+	// the job finishes unlaunched); nil from then on.
+	specs []runtime.TaskSpec
+	cost  int64
 
 	state jobState
 	// cancelRequested marks a cancel that arrived while the job was
